@@ -166,7 +166,8 @@ def leaf_kernel(fptr_cat, fptr_off, fids_cat, fids_off, values,
 
     ``out`` has one row per leaf (nonzero): the nonzero value times the
     product of every ancestor level's factor row, the leaf factor excluded
-    — matching ``leaf_range_vectorized``'s ``vals[:, None] * d``.
+    — the same products :func:`~repro.mttkrp.csf_kernels.leaf_range_sorted`
+    emits, in tree order instead of scatter-sorted order.
     """
     rank = packed.shape[1]
     last = nmodes - 1

@@ -150,7 +150,7 @@ class BackendCall:
 
     Built by :func:`prepare_call` on the dispatching thread; the per-task
     ``*_contribs`` methods then run the GIL-releasing kernels from pool
-    workers, writing into per-task workspace buffers.
+    workers, writing into the calling task's workspace (``ws``) buffers.
     """
 
     __slots__ = ("backend", "pk", "packed")
@@ -162,24 +162,22 @@ class BackendCall:
 
     def _out(self, nrows: int, ws, tag):
         rank = self.packed.shape[1]
-        if ws is None:
-            return np.empty((nrows, rank), dtype=VALUE_DTYPE)
         return ws.buf(tag, (nrows, rank), VALUE_DTYPE)
 
-    def root_w(self, lo: int, hi: int, ws=None) -> np.ndarray:
+    def root_w(self, lo: int, hi: int, ws) -> np.ndarray:
         """Per-root-node subtree products for slices ``[lo, hi)``."""
         out = self._out(hi - lo, ws, ("backend", "root"))
         self.backend.root_kernel(self.pk, self.packed, lo, hi, out)
         return out
 
     def internal_contribs(self, level: int, lo: int, hi: int,
-                          nnodes: int, ws=None) -> np.ndarray:
+                          nnodes: int, ws) -> np.ndarray:
         """Per-``level``-node contributions under root slices ``[lo, hi)``."""
         out = self._out(nnodes, ws, ("backend", "internal", level))
         self.backend.internal_kernel(self.pk, self.packed, level, lo, hi, out)
         return out
 
-    def leaf_contribs(self, lo: int, hi: int, nleaves: int, ws=None) -> np.ndarray:
+    def leaf_contribs(self, lo: int, hi: int, nleaves: int, ws) -> np.ndarray:
         """Per-nonzero contributions under root slices ``[lo, hi)``."""
         out = self._out(nleaves, ws, ("backend", "leaf"))
         self.backend.leaf_kernel(self.pk, self.packed, lo, hi, out)

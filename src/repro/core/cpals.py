@@ -66,8 +66,8 @@ class CpalsResult:
         Amortized-engine accounting for the run: scatter-plan cache
         hits/misses and bytes (from the CSF set's
         :class:`~repro.mttkrp.scatter.MttkrpContext`) merged with the
-        tasking layer's worker-pool reuse counters.  Empty when the run
-        used neither (e.g. interpreted variants with ``persistent=False``).
+        tasking layer's worker-pool reuse counters.  Only the backend name
+        when the run used neither (e.g. an interpreted variant on one task).
     """
 
     kruskal: KruskalTensor

@@ -1,8 +1,8 @@
 """Precomputed scatter plans and reusable workspaces for MTTKRP.
 
 Every non-root MTTKRP ends in a scatter-add: per-task ``(rows, contribs)``
-pairs accumulated into shared output rows.  The seed implementation paid
-three per-call costs that are *invariant across CP-ALS iterations*:
+pairs accumulated into shared output rows.  Done naively, each call pays
+costs that are *invariant across CP-ALS iterations*:
 
 * ``np.add.at`` — an unbuffered, element-at-a-time scatter (an order of
   magnitude slower than a segmented reduction);
@@ -11,9 +11,10 @@ three per-call costs that are *invariant across CP-ALS iterations*:
 * fresh ``np.zeros_like`` privatization buffers and ``O(nnz)`` tree-walk
   intermediates on every call.
 
-Following the amortization playbook of Dynasor and the ALTO work (see
-PAPERS.md), this module precomputes the memory-access layout once per
-``(tree, level, ntasks[, pool_size])`` and reuses it every iteration:
+Like SPLATT (and following the amortization playbook of Dynasor and the
+ALTO work, see PAPERS.md), this module precomputes the memory-access
+layout once per ``(tree, level, ntasks[, pool_size])`` and reuses it every
+iteration; the vectorized MTTKRP kernels have no other execution path:
 
 * :class:`RowScatter` — cached stable sort order, segment boundaries, and
   unique output rows for one invariant ``rows`` array, turning the scatter
@@ -35,9 +36,9 @@ PAPERS.md), this module precomputes the memory-access layout once per
   privatization buffers, with hit/miss accounting surfaced by ``cp_als``.
 
 Stable sorts keep each output row's contributions in their original
-order, so plan-based results match the ``np.add.at`` path to summation
-rounding (``reduceat`` sums pairwise where ``add.at`` is sequential —
-``allclose`` at ~1e-15, and typically *more* accurate).
+order, so plan-based scatters match ``np.add.at`` to summation rounding
+(``reduceat`` sums pairwise where ``add.at`` is sequential — ``allclose``
+at ~1e-15, and typically *more* accurate).
 
 :func:`sorted_scatter_add` is the plan-less one-shot flavour for call
 sites whose rows change every call (TTMc chunks, one-off scatters).
@@ -331,9 +332,9 @@ class RowScatter:
     ) -> None:
         """Locked scatter: one pool acquire per cached bucket group.
 
-        Lock traffic is identical to the seed path (one acquire per
-        task-bucket pair, same hashed lock ids), but bucket grouping and
-        per-row reduction come from the plan instead of a per-call sort.
+        One acquire per task-bucket pair, with SPLATT's hashed lock ids
+        (``row % pool_size``); bucket grouping and per-row reduction come
+        from the plan instead of a per-call sort.
         """
         if self.nrows_in == 0:
             return
@@ -417,14 +418,14 @@ class SegmentSum:
 class TaskTraversal:
     """Cached CSF tree-walk structure for one task's root slices ``[lo, hi)``.
 
-    Holds everything the upward/downward kernels recompute per call in the
-    seed implementation: per-level node ``ranges``, ``reduceat`` child
-    boundaries (``up_starts``), downward expansion indices
-    (``down_expand``, replacing per-call ``np.repeat`` span math), and the
-    per-level ``fids``/``values`` slices.
+    Holds everything the upward/downward kernels would otherwise recompute
+    per call: per-level node ``ranges``, child-segment sum operators
+    (``up_segsum``), downward expansion indices (``down_expand``, replacing
+    per-call ``np.repeat`` span math), and the per-level ``fids``/``values``
+    slices.
     """
 
-    __slots__ = ("lo", "hi", "ranges", "up_starts", "up_segsum", "down_expand",
+    __slots__ = ("lo", "hi", "ranges", "up_segsum", "down_expand",
                  "fids", "values")
 
     def __init__(self, csf: CsfTensor, lo: int, hi: int):
@@ -435,13 +436,11 @@ class TaskTraversal:
             clo, chi = ranges[-1]
             ranges.append((int(csf.fptr[level][clo]), int(csf.fptr[level][chi])))
         self.ranges = ranges
-        self.up_starts = []
         self.up_segsum = []
         for level in range(nmodes - 1):
             nlo, nhi = ranges[level]
             clo = ranges[level + 1][0]
             starts = (csf.fptr[level][nlo:nhi] - clo).astype(np.intp, copy=False)
-            self.up_starts.append(starts)
             self.up_segsum.append(SegmentSum(starts, ranges[level + 1][1] - clo))
         self.down_expand: list[np.ndarray | None] = [None]
         for level in range(1, nmodes):
@@ -515,7 +514,6 @@ class ScatterPlan:
         """Plan storage footprint (index arrays; roughly tree-sized)."""
         total = 0
         for trav in self.traversals:
-            total += sum(a.nbytes for a in trav.up_starts)
             total += sum(s.nbytes() for s in trav.up_segsum)
             total += sum(a.nbytes for a in trav.down_expand if a is not None)
         for sc in self.scatters:
@@ -674,13 +672,16 @@ class MttkrpContext:
         return self.workspaces(tree, 1, "pack:" + backend)[0]
 
     def mutex_pool(self, kind: str, size: int, env):
-        """A cached mutex pool for amortized calls that didn't pass one.
+        """A cached mutex pool for vectorized calls that didn't pass one.
 
         Building a pool is ``size`` lock allocations per call — another
         iteration-invariant setup cost.  Callers that pass their own pool
         (``cp_als`` shares one across the whole run) never reach this.
+        Keyed by the (frozen, hashable) env *value*: equal envs share one
+        pool, so a stream of transient envs cannot grow the cache, and a
+        recycled ``id()`` can never hand one env another env's pool.
         """
-        key = (kind, size, id(env))
+        key = (kind, size, env)
         the_pool = self._mutex_pools.get(key)
         if the_pool is None:
             from repro.runtime.locks import make_mutex_pool

@@ -70,9 +70,7 @@ def run_ephemeral(ntasks: int, body: Callable[[int], None]) -> None:
     """Run ``body(tid)`` on ``ntasks`` fresh threads (the pre-pool path).
 
     All tasks join before the first exception (if any) propagates.  Kept as
-    the fallback for nested/concurrent dispatches and as the explicit
-    opt-out (``persistent=False``) used to benchmark the pool against the
-    seed behaviour.
+    the fallback for nested/concurrent dispatches.
     """
     errors: list[BaseException] = []
     errors_lock = threading.Lock()

@@ -21,9 +21,7 @@ Like Qthreads, a layer does not spawn an OS thread per task: every
 multi-task ``coforall`` dispatches onto the layer's persistent
 :class:`~repro.runtime.pool.WorkerPool` (created on first use, reused for
 the lifetime of the layer), so steady-state parallel loops pay two event
-round-trips instead of a thread create/start/join cycle.  Pass
-``persistent=False`` to recover the spawn-per-call behaviour (used by the
-amortization benchmarks as the "before" configuration).
+round-trips instead of a thread create/start/join cycle.
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ from repro.resilience import retry as _rty
 from repro.sanitize import detector as _san
 from repro.runtime.accounting import CostCounters
 from repro.runtime.env import ChapelEnv
-from repro.runtime.pool import WorkerPool, run_ephemeral
+from repro.runtime.pool import WorkerPool
 
 __all__ = [
     "TaskingLayer",
@@ -72,13 +70,7 @@ class TaskingLayer(ABC):
     #: Layer name ("qthreads" / "fifo").
     name: str = ""
 
-    def __init__(
-        self,
-        env: ChapelEnv,
-        counters: CostCounters | None = None,
-        *,
-        persistent: bool = True,
-    ):
+    def __init__(self, env: ChapelEnv, counters: CostCounters | None = None):
         if env.tasking_layer != self.name:
             raise ValueError(
                 f"env requests tasking layer {env.tasking_layer!r} "
@@ -86,10 +78,9 @@ class TaskingLayer(ABC):
             )
         self.env = env
         self.counters = counters if counters is not None else CostCounters()
-        self.persistent = persistent
         self._pool: WorkerPool | None = None
         #: Resilience accounting for this layer (mirrored into the pool's
-        #: stats when the dispatch was pooled): retried dispatches,
+        #: stats once the pool exists): retried dispatches,
         #: simulated backoff seconds, and dispatches degraded to serial.
         self.retries = 0
         self.backoff_seconds = 0.0
@@ -124,18 +115,11 @@ class TaskingLayer(ABC):
             pass
 
     # ------------------------------------------------------------------
-    def _run_tasks(self, ntasks: int, body: Callable[[int], None]) -> None:
-        """One dispatch attempt on the pooled or ephemeral substrate."""
-        if self.persistent:
-            self.worker_pool.run(ntasks, body)
-        else:
-            run_ephemeral(ntasks, body)
-
     def _dispatch(self, ntasks: int, body: Callable[[int], None], span) -> None:
         """Dispatch with fault injection, retry and serial degradation.
 
         When no :class:`~repro.resilience.fault.FaultPlan` is installed
-        this is exactly one :meth:`_run_tasks` call.  With a plan active,
+        this is exactly one worker-pool dispatch.  With a plan active,
         each attempt pokes the ``tasking.coforall`` site and a raised
         :class:`~repro.resilience.fault.InjectedFault` (from the dispatch
         sites or a task body) is handled per the active
@@ -146,14 +130,14 @@ class TaskingLayer(ABC):
         """
         plan = _flt._active_plan
         if plan is None:
-            self._run_tasks(ntasks, body)
+            self.worker_pool.run(ntasks, body)
             return
         policy = _rty.active_policy()
         attempts = 0
         while True:
             try:
                 plan.poke("tasking.coforall")
-                self._run_tasks(ntasks, body)
+                self.worker_pool.run(ntasks, body)
                 return
             except BaseException as exc:
                 if (
@@ -167,7 +151,7 @@ class TaskingLayer(ABC):
                     attempts += 1
                     self.retries += 1
                     self.backoff_seconds += backoff
-                    if self.persistent and self._pool is not None:
+                    if self._pool is not None:
                         self._pool.retries += 1
                         self._pool.backoff_seconds += backoff
                     _obs.count("retry.attempts")
@@ -181,7 +165,7 @@ class TaskingLayer(ABC):
                 # run the loop serially on the calling thread (no pool, no
                 # dispatch-site pokes — the body's own faults still apply).
                 self.degraded_dispatches += 1
-                if self.persistent and self._pool is not None:
+                if self._pool is not None:
                     self._pool.degraded_dispatches += 1
                 _obs.count("tasking.degraded")
                 if span is not None:
@@ -195,8 +179,7 @@ class TaskingLayer(ABC):
 
         ``ntasks == 1`` runs inline (no thread involved), matching Chapel's
         serialization of singleton coforalls.  Multi-task loops dispatch to
-        the persistent worker pool (or fresh threads when the layer was
-        built with ``persistent=False``).  Exceptions raised by any task
+        the persistent worker pool.  Exceptions raised by any task
         propagate to the caller after all tasks finish (first one wins).
         Under an installed fault plan, injected dispatch failures are
         retried/degraded per the active retry policy (see :meth:`_dispatch`).
@@ -232,8 +215,7 @@ class TaskingLayer(ABC):
                 # parent_id keeps the cross-thread dispatch → task edge in
                 # the span tree.
                 with rec.span(
-                    "coforall",
-                    {"ntasks": ntasks, "layer": self.name, "pooled": self.persistent},
+                    "coforall", {"ntasks": ntasks, "layer": self.name}
                 ) as dispatch_span:
                     inner = body
 
@@ -293,18 +275,11 @@ class FifoLayer(TaskingLayer):
 
 
 def make_tasking_layer(
-    env: ChapelEnv,
-    counters: CostCounters | None = None,
-    *,
-    persistent: bool = True,
+    env: ChapelEnv, counters: CostCounters | None = None
 ) -> TaskingLayer:
-    """Instantiate the layer selected by ``env.tasking_layer``.
-
-    ``persistent=False`` disables the worker pool (spawn-per-coforall, the
-    seed behaviour) — used by the amortization benchmarks as a baseline.
-    """
+    """Instantiate the layer selected by ``env.tasking_layer``."""
     if env.tasking_layer == "qthreads":
-        return QthreadsLayer(env, counters, persistent=persistent)
+        return QthreadsLayer(env, counters)
     if env.tasking_layer == "fifo":
-        return FifoLayer(env, counters, persistent=persistent)
+        return FifoLayer(env, counters)
     raise ValueError(f"unknown tasking layer {env.tasking_layer!r}")

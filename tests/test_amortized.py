@@ -5,8 +5,8 @@ Covers the three tentpole layers:
 * :mod:`repro.mttkrp.scatter` — segmented scatter-add equivalence with
   ``np.add.at`` (the seed implementation) for the one-shot helper, the
   cached :class:`RowScatter` in all three flavours, and the plan cache;
-* the amortized :func:`repro.mttkrp.mttkrp_csf` path against the
-  non-amortized one across tensor orders 2–5, all algorithms
+* the plan-backed :func:`repro.mttkrp.mttkrp_csf` path, cold and warm,
+  against the dense reference across tensor orders 2–5, all algorithms
   (root/internal/leaf) and both sync policies (privatized/mutex);
 * the persistent worker pool — worker-thread identity must be stable
   across consecutive ``coforall`` dispatches.
@@ -28,6 +28,7 @@ from repro.mttkrp.scatter import (
     Workspace,
     sorted_scatter_add,
 )
+from repro.mttkrp.reference import dense_mttkrp_reference
 from repro.mttkrp.variants import mttkrp_csf
 from repro.runtime.env import ChapelEnv
 from repro.runtime.locks import make_mutex_pool
@@ -180,7 +181,8 @@ class TestSegmentSum:
 
 
 class TestPlanEquivalence:
-    """Amortized vs seed mttkrp_csf across orders, algorithms, sync paths."""
+    """Cold and warm mttkrp_csf vs the dense reference across orders,
+    algorithms and sync paths."""
 
     @pytest.mark.parametrize("order", [2, 3, 4, 5])
     @pytest.mark.parametrize("allocation", ["one", "two"])
@@ -196,14 +198,17 @@ class TestPlanEquivalence:
         algorithms_seen = set()
         try:
             for mode in range(tensor.nmodes):
-                baseline, info_b = mttkrp_csf(
-                    csf_set, factors, mode, layer=layer,
-                    force_locks=force_locks, amortize=False,
-                )
-                baseline = baseline.copy()
-                assert info_b.plan_hit is None
+                baseline = dense_mttkrp_reference(tensor, factors, mode)
+                if order == 3:
+                    # interpreted variants run without a plan
+                    interp, info_i = mttkrp_csf(
+                        csf_set, factors, mode, layer=layer,
+                        force_locks=force_locks, variant="index2d",
+                    )
+                    np.testing.assert_allclose(interp, baseline, atol=1e-10)
+                    assert info_i.plan_hit is None
                 # cold call builds the plan, warm call hits the cache —
-                # both must agree with the seed path
+                # both must agree with the dense reference
                 cold, info_c = mttkrp_csf(
                     csf_set, factors, mode, layer=layer, force_locks=force_locks,
                 )
@@ -230,11 +235,8 @@ class TestPlanEquivalence:
                 factors = [np.asarray(rng.random((d, 4))) for d in tensor.dims]
                 for mode in range(3):
                     amortized, _ = mttkrp_csf(csf_set, factors, mode, layer=layer)
-                    amortized = amortized.copy()
-                    seed_out, _ = mttkrp_csf(
-                        csf_set, factors, mode, layer=layer, amortize=False
-                    )
-                    np.testing.assert_allclose(amortized, seed_out, atol=1e-10)
+                    expected = dense_mttkrp_reference(tensor, factors, mode)
+                    np.testing.assert_allclose(amortized, expected, atol=1e-10)
         finally:
             layer.shutdown()
 
@@ -278,6 +280,15 @@ class TestMttkrpContext:
         ws1 = ctx.workspaces(tree, 2)
         ws2 = ctx.workspaces(tree, 2)
         assert ws1 is ws2 and len(ws1) == 2
+
+    def test_mutex_pool_cache_keyed_by_env_value(self):
+        ctx = build_csf_set(_tensor_for_order(3), allocation="one").mttkrp_context
+        for i in range(50):
+            layer = ("qthreads", "fifo")[i % 2]
+            env = ChapelEnv(num_tasks=2, tasking_layer=layer)  # transient
+            pool = ctx.mutex_pool("sync", 64, env)
+            assert pool.env.tasking_layer == layer
+        assert ctx.cache_entries()["mutex_pools"] == 2
 
 
 class TestWorkerPoolIdentity:

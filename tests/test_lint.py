@@ -422,17 +422,20 @@ class TestOrderOneRootKernel:
         values = np.array([1.5, -2.0, 0.25, 3.0, -1.0])
         return build_csf(SparseTensor(coords, values, (11,)))
 
-    @pytest.mark.parametrize("use_ws", [False, True])
-    def test_matches_add_at(self, use_ws):
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_matches_add_at(self, warm):
         from repro.mttkrp.csf_kernels import root_range_vectorized
-        from repro.mttkrp.scatter import Workspace
+        from repro.mttkrp.scatter import TaskTraversal, Workspace
 
         tree = self._tree()
         rank = 3
+        trav = TaskTraversal(tree, 0, tree.nslices)
+        ws = Workspace()
+        if warm:  # a reused arena must give the same result
+            root_range_vectorized(tree, [np.ones((11, rank))],
+                                  np.zeros((11, rank)), trav, ws)
         out = np.zeros((11, rank))
-        ws = Workspace() if use_ws else None
-        root_range_vectorized(tree, [np.ones((11, rank))], out, 0,
-                              tree.nslices, ws=ws)
+        root_range_vectorized(tree, [np.ones((11, rank))], out, trav, ws)
         expected = np.zeros_like(out)
         np.add.at(expected, tree.fids[0], tree.values[:, None]
                   * np.ones((1, rank)))
@@ -440,22 +443,29 @@ class TestOrderOneRootKernel:
 
     def test_accumulates_into_existing_out(self):
         from repro.mttkrp.csf_kernels import root_range_vectorized
+        from repro.mttkrp.scatter import TaskTraversal, Workspace
 
         tree = self._tree()
         out = np.full((11, 2), 10.0)
-        root_range_vectorized(tree, [np.ones((11, 2))], out, 0, tree.nslices)
+        root_range_vectorized(tree, [np.ones((11, 2))], out,
+                              TaskTraversal(tree, 0, tree.nslices), Workspace())
         assert np.isclose(out[7, 0], 10.0 + 1.5)
         assert np.isclose(out[0, 0], 10.0)
 
     def test_split_ranges_compose(self):
         from repro.mttkrp.csf_kernels import root_range_vectorized
+        from repro.mttkrp.scatter import TaskTraversal, Workspace
 
         tree = self._tree()
+        factors = [np.ones((11, 2))]
         full = np.zeros((11, 2))
-        root_range_vectorized(tree, [np.ones((11, 2))], full, 0, tree.nslices)
+        root_range_vectorized(tree, factors, full,
+                              TaskTraversal(tree, 0, tree.nslices), Workspace())
         split = np.zeros_like(full)
-        root_range_vectorized(tree, [np.ones((11, 2))], split, 0, 2)
-        root_range_vectorized(tree, [np.ones((11, 2))], split, 2, tree.nslices)
+        root_range_vectorized(tree, factors, split,
+                              TaskTraversal(tree, 0, 2), Workspace())
+        root_range_vectorized(tree, factors, split,
+                              TaskTraversal(tree, 2, tree.nslices), Workspace())
         np.testing.assert_allclose(split, full)
 
 

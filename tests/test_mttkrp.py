@@ -6,12 +6,13 @@ import pytest
 from repro.csf.build import build_csf_set
 from repro.mttkrp.csf_kernels import (
     internal_range_vectorized,
-    leaf_range_vectorized,
+    leaf_range_sorted,
     root_range_vectorized,
 )
 from repro.mttkrp.locks_policy import needs_locks
 from repro.mttkrp.partition import leaf_counts_per_slice, nnz_balanced_blocks
 from repro.mttkrp.reference import dense_mttkrp_reference
+from repro.mttkrp.scatter import ScatterPlan, TaskTraversal, Workspace
 from repro.mttkrp.variants import ACCESS_VARIANTS, mttkrp, mttkrp_csf
 from repro.runtime.env import ChapelEnv
 from repro.runtime.locks import AtomicLockPool
@@ -183,28 +184,38 @@ class TestRangeKernels:
         csf_set = build_csf_set(small_tensor, allocation="all")
         tree, _ = csf_set.tree_for_mode(0)
         full = np.zeros((small_tensor.dims[0], 4))
-        root_range_vectorized(tree, factors, full, 0, tree.nslices)
+        root_range_vectorized(
+            tree, factors, full, TaskTraversal(tree, 0, tree.nslices), Workspace()
+        )
         split = np.zeros_like(full)
         mid = tree.nslices // 2
-        root_range_vectorized(tree, factors, split, 0, mid)
-        root_range_vectorized(tree, factors, split, mid, tree.nslices)
+        root_range_vectorized(
+            tree, factors, split, TaskTraversal(tree, 0, mid), Workspace()
+        )
+        root_range_vectorized(
+            tree, factors, split, TaskTraversal(tree, mid, tree.nslices), Workspace()
+        )
         np.testing.assert_allclose(split, full)
 
     def test_leaf_empty_range(self, small_tensor, factors_for):
         factors = factors_for(small_tensor, 4)
         csf_set = build_csf_set(small_tensor, allocation="one")
         tree = csf_set.trees[0]
-        rows, contribs = leaf_range_vectorized(tree, factors, 3, 3)
-        assert rows.size == 0
+        trav = TaskTraversal(tree, 3, 3)
+        plan = ScatterPlan(tree, tree.nmodes - 1, 1,
+                           bounds=np.array([3, 3]), traversals=[trav])
+        contribs = leaf_range_sorted(tree, factors, plan, 0, Workspace())
+        assert trav.fids[tree.nmodes - 1].size == 0
         assert contribs.shape == (0, 4)
 
     def test_internal_level_validation(self, small_tensor, factors_for):
         factors = factors_for(small_tensor, 4)
         tree = build_csf_set(small_tensor, allocation="one").trees[0]
+        trav = TaskTraversal(tree, 0, 1)
         with pytest.raises(ValueError, match="internal level"):
-            internal_range_vectorized(tree, factors, 0, 0, 1)
+            internal_range_vectorized(tree, factors, 0, trav, Workspace())
         with pytest.raises(ValueError, match="internal level"):
-            internal_range_vectorized(tree, factors, 2, 0, 1)
+            internal_range_vectorized(tree, factors, 2, trav, Workspace())
 
 
 class TestPartition:
