@@ -57,6 +57,7 @@ from repro.csf.tree import CsfTensor
 from repro.mttkrp.partition import nnz_balanced_blocks
 from repro.observe import spans as _obs
 from repro.sanitize import detector as _san
+from repro.tensor.sort import lex_order
 
 __all__ = [
     "sorted_scatter_add",
@@ -97,6 +98,9 @@ def sorted_scatter_add(
     """
     if rows.size == 0:
         return out
+    # Stays on np.argsort: TTMc calls this once per chunk inside its loop,
+    # and routing that through lex_order (repro.tensor.sort, outside the
+    # hot modules) trips repro.analyze's hot-call rule.
     order = np.argsort(rows, kind="stable")
     sorted_rows = rows[order]
     starts = np.flatnonzero(sorted_rows[1:] != sorted_rows[:-1]) + 1
@@ -188,14 +192,18 @@ class RowScatter:
             self.bucket_ids = None
             self.bucket_bounds = None
             return
-        if pool_size is None:
-            self.order = np.argsort(rows, kind="stable").astype(np.intp, copy=False)
-            buckets = None
-        else:
+        # Stable: groups by bucket (if any), then row, preserving the
+        # original order of each row's contributions.  The input position
+        # as the last key makes every packed key unique, so lex_order needs
+        # only its one unstable argsort to return the stable permutation.
+        n = self.nrows_in
+        keys, extents = [rows, np.arange(n)], [int(rows.max()) + 1, n]
+        buckets = None
+        if pool_size is not None:
             buckets = rows % pool_size
-            # lexsort is stable: groups by bucket, then row, preserving the
-            # original order of each row's contributions.
-            self.order = np.lexsort((rows, buckets)).astype(np.intp, copy=False)
+            keys.insert(0, buckets)
+            extents.insert(0, pool_size)
+        self.order = lex_order(keys, extents).astype(np.intp, copy=False)
         sorted_rows = rows[self.order]
         starts = np.flatnonzero(sorted_rows[1:] != sorted_rows[:-1]) + 1
         self.seg_starts = np.concatenate(([0], starts)).astype(np.intp, copy=False)

@@ -168,9 +168,12 @@ class SparseTensor:
         """
         if self.nnz == 0:
             return self.copy()
-        order = np.lexsort(self.coords.T[::-1])
-        sorted_coords = self.coords[order]
-        sorted_vals = self.values[order]
+        from repro.tensor.sort import lex_order  # sort.py imports this module
+
+        # Stable: each duplicate group sums in input order.
+        order = lex_order(self.coords.T, self.dims)
+        sorted_coords = np.take(self.coords, order, axis=0)
+        sorted_vals = np.take(self.values, order)
         boundary = np.empty(self.nnz, dtype=bool)
         boundary[0] = True
         boundary[1:] = (sorted_coords[1:] != sorted_coords[:-1]).any(axis=1)

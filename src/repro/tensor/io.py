@@ -108,7 +108,8 @@ def load_tns(
     ------
     ValueError
         On ragged rows (inconsistent mode counts between lines),
-        non-numeric fields, or non-finite values (NaN/inf).  Messages
+        non-numeric fields, non-finite values (NaN/inf), or coordinates
+        below the index base or outside explicit ``dims``.  Messages
         carry the *file* line number (counting comments and blanks), not
         the nonzero's ordinal, so the offending line can be found in an
         editor.
@@ -143,8 +144,16 @@ def load_tns(
             )
     if one_indexed:
         coords -= 1
-    if (coords < 0).any():
-        raise ValueError(f"{path}: coordinate underflow (is the file really 1-indexed?)")
+    underflow = (coords < 0).any(axis=1)
+    if underflow.any():
+        i = int(np.argmax(underflow))
+        lineno = rows[i][0]
+        base = 1 if one_indexed else 0
+        coord = tuple(int(c) + base for c in coords[i])
+        hint = "; is the file really 1-indexed?" if one_indexed else ""
+        raise ValueError(
+            f"{path}:{lineno}: coordinate {coord} underflows ({base}-indexed{hint})"
+        )
     if dims is None:
         dims = tuple(int(coords[:, m].max()) + 1 for m in range(nmodes))
     else:

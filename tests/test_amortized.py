@@ -117,6 +117,19 @@ class TestRowScatter:
         # one acquire per distinct bucket touched
         assert pool.counters.lock_acquires == len(set(int(r) % pool.size for r in rows))
 
+    @pytest.mark.parametrize("pool_size", [None, 1, 4, 1024])
+    def test_order_is_the_stable_sort(self, pool_size):
+        rows, _, _ = self._case(n=5000, dim=40)
+        sc = RowScatter(rows, pool_size=pool_size)
+        if pool_size is None:
+            expected = np.argsort(rows, kind="stable")
+        else:
+            expected = np.lexsort((rows, rows % pool_size))
+        np.testing.assert_array_equal(sc.order, expected)
+        sorted_rows = rows[expected]
+        starts = np.flatnonzero(np.diff(sorted_rows)) + 1
+        np.testing.assert_array_equal(sc.seg_starts, np.concatenate(([0], starts)))
+
     def test_empty_rows(self):
         sc = RowScatter(np.empty(0, dtype=np.int64))
         out = np.ones((3, 2))

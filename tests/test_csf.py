@@ -164,6 +164,45 @@ class TestCsfValidation:
             CsfTensor(csf.dims, (0, 0, 2), csf.fptr, csf.fids, csf.values)
 
 
+def _assert_lexsort_trees(tensor, csf_set):
+    """Every tree equals the one built from an ``np.lexsort`` order."""
+    for tree in csf_set.trees:
+        order = np.lexsort([tensor.coords[:, m] for m in reversed(tree.dim_perm)])
+        np.testing.assert_array_equal(tree.expand_coords(), tensor.coords[order])
+        np.testing.assert_array_equal(tree.values, tensor.values[order])
+
+
+class TestPackedKeyBuild:
+    """``build_csf`` sorts through :func:`repro.tensor.sort.lex_order`."""
+
+    def test_amazon_dims_match_lexsort_reference(self):
+        dims = (4_821_207, 1_774_269, 1_805_187)  # product passes 2**63
+        rng = np.random.default_rng(7)
+        # Few distinct ids per mode, up to the top of each dim: shared
+        # prefixes at every level, and duplicates for deduplicate to sum.
+        coords = np.column_stack(
+            [rng.choice(np.append(rng.integers(0, d, 7), d - 1), 400) for d in dims]
+        )
+        t = SparseTensor(coords, rng.random(400), dims).deduplicate()
+        assert 0 < t.nnz < 400
+        _assert_lexsort_trees(t, build_csf_set(t, allocation="all"))
+
+    def test_int64_dims_never_call_lexsort(self, monkeypatch):
+        t = random_tensor((40, 30, 50), 600, seed=5)
+        expected = build_csf_set(t, allocation="all")
+
+        def no_lexsort(*args, **kwargs):
+            raise AssertionError("np.lexsort called on an int64-packable key")
+
+        monkeypatch.setattr(np, "lexsort", no_lexsort)
+        got = build_csf_set(t, allocation="all")
+        for a, b in zip(expected.trees, got.trees):
+            for x, y in zip([*a.fids, *a.fptr, a.values], [*b.fids, *b.fptr, b.values]):
+                np.testing.assert_array_equal(x, y)
+        monkeypatch.undo()
+        _assert_lexsort_trees(t, got)
+
+
 class TestCsfSet:
     def test_one_allocation(self, small_tensor):
         cs = build_csf_set(small_tensor, allocation="one")

@@ -113,6 +113,17 @@ class TestDeduplicate:
         t = SparseTensor(np.empty((0, 3), dtype=int), np.empty(0), (2, 2, 2))
         assert t.deduplicate().nnz == 0
 
+    def test_groups_sum_in_input_order(self):
+        # (1, 1) sums to 1.0 only when added in input order.
+        coords = np.array([[1, 1], [0, 0], [1, 1], [0, 0], [1, 1], [1, 1]])
+        values = np.array([1.0, 2.0, 1e16, 3.0, -1e16, 1.0])
+        expected = np.zeros((2, 2))
+        np.add.at(expected, tuple(coords.T), values)
+        assert expected[1, 1] == 1.0
+        t = SparseTensor(coords, values, (2, 2)).deduplicate()
+        np.testing.assert_array_equal(t.coords, [[0, 0], [1, 1]])
+        np.testing.assert_array_equal(t.to_dense(), expected)
+
     def test_preserves_dense_equivalent(self, rng):
         coords = rng.integers(0, 4, size=(50, 3))
         values = rng.standard_normal(50)

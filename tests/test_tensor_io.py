@@ -187,6 +187,23 @@ class TestDimsValidation:
         with pytest.raises(ValueError, match=r"t\.tns:2: .*0-indexed"):
             load_tns(path, dims=(3, 3, 3), one_indexed=False)
 
+    def test_underflow_carries_line_number_and_coordinate(self, tmp_path):
+        path = tmp_path / "t.tns"
+        path.write_text("# header\n1 1 1 1.0\n\n2 0 1 2.0\n")
+        with pytest.raises(ValueError) as info:
+            load_tns(path)
+        assert str(info.value) == (
+            f"{path}:4: coordinate (2, 0, 1) underflows "
+            "(1-indexed; is the file really 1-indexed?)"
+        )
+
+    def test_zero_indexed_underflow_carries_line_number(self, tmp_path):
+        path = tmp_path / "t.tns"
+        path.write_text("0 0 0 1.0\n1 -2 0 2.0\n")
+        with pytest.raises(ValueError) as info:
+            load_tns(path, one_indexed=False)
+        assert str(info.value) == f"{path}:2: coordinate (1, -2, 0) underflows (0-indexed)"
+
     def test_dims_arity_mismatch_rejected(self, tmp_path):
         path = tmp_path / "t.tns"
         path.write_text("1 1 1 1.0\n")

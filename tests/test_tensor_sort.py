@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.tensor.coo import SparseTensor
 from repro.tensor.generate import random_tensor
-from repro.tensor.sort import SORT_VARIANTS, sort_perm_for_mode, sort_tensor
+from repro.tensor.sort import SORT_VARIANTS, lex_order, sort_perm_for_mode, sort_tensor
 
 
 def _is_sorted_by(tensor: SparseTensor, perm) -> bool:
@@ -176,3 +177,46 @@ class TestCounters:
         total = a.quicksort_calls + b.quicksort_calls
         a.merge(b)
         assert a.quicksort_calls == total
+
+
+@st.composite
+def lex_columns(draw):
+    """1-5 integer columns with extents; rows repeat (ties) when the draw
+    picks from a small pool, and wide extents overflow the packed key."""
+    ncols = draw(st.integers(1, 5))
+    extents = [
+        draw(st.one_of(st.integers(1, 6), st.integers(1, 2**40))) for _ in range(ncols)
+    ]
+    n = draw(st.integers(0, 30))
+    distinct = draw(st.integers(1, max(n, 1)))
+    pool = [[draw(st.integers(0, e - 1)) for e in extents] for _ in range(distinct)]
+    rows = [pool[draw(st.integers(0, distinct - 1))] for _ in range(n)]
+    return np.asarray(rows, dtype=np.int64).reshape(n, ncols).T, extents
+
+
+class TestLexOrder:
+    @settings(max_examples=200, deadline=None)
+    @given(lex_columns())
+    def test_equals_lexsort(self, drawn):
+        cols, extents = drawn
+        got = lex_order(list(cols), extents)
+        assert got.dtype == np.intp
+        np.testing.assert_array_equal(got, np.lexsort(cols[::-1]))
+
+    def test_ties_keep_input_order(self):
+        cols = [np.array([1, 0, 1, 0, 1]), np.array([2, 2, 2, 2, 0])]
+        np.testing.assert_array_equal(lex_order(cols, [2, 3]), [1, 3, 4, 0, 2])
+        # Long enough that an unstable argsort reorders the ties.
+        many = np.random.default_rng(0).integers(0, 3, 5000)
+        np.testing.assert_array_equal(
+            lex_order([many], [3]), np.argsort(many, kind="stable")
+        )
+
+    def test_overflowing_key_falls_back_to_lexsort(self):
+        big = 2**62
+        cols = [np.array([1, 1, 0]), np.array([big - 1, 0, big - 1])]
+        np.testing.assert_array_equal(lex_order(cols, [2, big]), [2, 1, 0])
+
+    def test_extent_count_must_match(self):
+        with pytest.raises(ValueError, match="one extent per column"):
+            lex_order([np.arange(3)], [3, 3])
