@@ -22,6 +22,7 @@ from repro.completion.sgd import sgd_epoch
 from repro.mttkrp.scatter import Workspace
 from repro.observe import spans as _obs
 from repro.resilience.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from repro.runtime.env import ChapelEnv, blas_budget
 from repro.tensor.coo import SparseTensor
 
 __all__ = ["ALGORITHMS", "CompletionOptions", "CompletionResult", "complete"]
@@ -272,7 +273,7 @@ def complete(
         nnz=train.nnz,
         dims=list(train.dims),
     )
-    with run_span:
+    with run_span, blas_budget(ChapelEnv()):
         from repro.backend import resolve_backend
 
         bk = resolve_backend(opts.backend)

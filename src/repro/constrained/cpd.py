@@ -27,7 +27,7 @@ from repro.core.cpals import init_factors
 from repro.csf.build import build_csf_set
 from repro.linalg.ata import gram, hadamard_gram
 from repro.mttkrp.variants import mttkrp_csf
-from repro.runtime.env import ChapelEnv
+from repro.runtime.env import ChapelEnv, blas_budget
 from repro.runtime.tasking import make_tasking_layer
 from repro.tensor.coo import SparseTensor
 
@@ -114,56 +114,58 @@ def constrained_cp_als(
             raise ValueError(f"need {nmodes} constraints, got {len(constraints)}")
         cons = [make_constraint(c) for c in constraints]
 
-    layer = make_tasking_layer(env if env is not None else ChapelEnv())
-    csf_set = build_csf_set(tensor)
-    rng = as_rng(seed)
-    factors = init_factors(tensor.dims, rank, rng)
-    # Start feasible so the first Grams make sense for hard constraints.
-    for m, con in enumerate(cons):
-        factors[m] = con.prox(factors[m], 1.0)
-        if not factors[m].any():
-            factors[m] = np.abs(np.asarray(rng.random((tensor.dims[m], rank))))
+    env = env if env is not None else ChapelEnv()
+    layer = make_tasking_layer(env)
+    with blas_budget(env):
+        csf_set = build_csf_set(tensor)
+        rng = as_rng(seed)
+        factors = init_factors(tensor.dims, rank, rng)
+        # Start feasible so the first Grams make sense for hard constraints.
+        for m, con in enumerate(cons):
+            factors[m] = con.prox(factors[m], 1.0)
+            if not factors[m].any():
+                factors[m] = np.abs(np.asarray(rng.random((tensor.dims[m], rank))))
 
-    grams = [gram(f) for f in factors]
-    xnorm2 = tensor.norm() ** 2
-    out_buffers = {m: np.zeros((tensor.dims[m], rank), dtype=VALUE_DTYPE) for m in range(nmodes)}
-    warm_aux: list[np.ndarray | None] = [None] * nmodes
-    warm_dual: list[np.ndarray | None] = [None] * nmodes
-    admm_iters_per_mode = [0] * nmodes
+        grams = [gram(f) for f in factors]
+        xnorm2 = tensor.norm() ** 2
+        out_buffers = {m: np.zeros((tensor.dims[m], rank), dtype=VALUE_DTYPE) for m in range(nmodes)}
+        warm_aux: list[np.ndarray | None] = [None] * nmodes
+        warm_dual: list[np.ndarray | None] = [None] * nmodes
+        admm_iters_per_mode = [0] * nmodes
 
-    fits: list[float] = []
-    converged = False
-    start = time.perf_counter()
-    iterations = 0
-    for it in range(max_iterations):
-        last_mttkrp: np.ndarray | None = None
-        for mode in range(nmodes):
-            v = hadamard_gram(factors, mode, grams=grams)
-            m_out, _ = mttkrp_csf(
-                csf_set, factors, mode, layer=layer, out=out_buffers[mode]
-            )
-            new_factor, aux, dual, inner = admm_mode_solve(
-                m_out, v, cons[mode],
-                max_iterations=admm_iterations,
-                tolerance=admm_tolerance,
-                warm_aux=warm_aux[mode],
-                warm_dual=warm_dual[mode],
-            )
-            warm_aux[mode], warm_dual[mode] = aux, dual
-            admm_iters_per_mode[mode] += inner
-            factors[mode] = np.asarray(new_factor, dtype=VALUE_DTYPE)
-            grams[mode] = gram(factors[mode])
-            last_mttkrp = m_out
+        fits: list[float] = []
+        converged = False
+        start = time.perf_counter()
+        iterations = 0
+        for it in range(max_iterations):
+            last_mttkrp: np.ndarray | None = None
+            for mode in range(nmodes):
+                v = hadamard_gram(factors, mode, grams=grams)
+                m_out, _ = mttkrp_csf(
+                    csf_set, factors, mode, layer=layer, out=out_buffers[mode]
+                )
+                new_factor, aux, dual, inner = admm_mode_solve(
+                    m_out, v, cons[mode],
+                    max_iterations=admm_iterations,
+                    tolerance=admm_tolerance,
+                    warm_aux=warm_aux[mode],
+                    warm_dual=warm_dual[mode],
+                )
+                warm_aux[mode], warm_dual[mode] = aux, dual
+                admm_iters_per_mode[mode] += inner
+                factors[mode] = np.asarray(new_factor, dtype=VALUE_DTYPE)
+                grams[mode] = gram(factors[mode])
+                last_mttkrp = m_out
 
-        if last_mttkrp is None:  # zero-mode tensors cannot reach the sweep
-            raise RuntimeError(
-                "constrained CP-ALS sweep updated no modes; cannot compute fit"
-            )
-        fits.append(_fit(xnorm2, factors, last_mttkrp, grams))
-        iterations = it + 1
-        if tolerance > 0 and it > 0 and abs(fits[-1] - fits[-2]) < tolerance:
-            converged = True
-            break
+            if last_mttkrp is None:  # zero-mode tensors cannot reach the sweep
+                raise RuntimeError(
+                    "constrained CP-ALS sweep updated no modes; cannot compute fit"
+                )
+            fits.append(_fit(xnorm2, factors, last_mttkrp, grams))
+            iterations = it + 1
+            if tolerance > 0 and it > 0 and abs(fits[-1] - fits[-2]) < tolerance:
+                converged = True
+                break
 
     return ConstrainedResult(
         factors=[f.copy() for f in factors],

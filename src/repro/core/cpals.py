@@ -34,6 +34,7 @@ from repro.mttkrp.variants import MttkrpInfo, mttkrp_csf
 from repro.observe import spans as _obs
 from repro.resilience.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from repro.runtime.accounting import CostCounters
+from repro.runtime.env import blas_budget
 from repro.runtime.locks import make_mutex_pool
 from repro.runtime.tasking import make_tasking_layer
 from repro.tensor.coo import SparseTensor
@@ -68,6 +69,9 @@ class CpalsResult:
         :class:`~repro.mttkrp.scatter.MttkrpContext`) merged with the
         tasking layer's worker-pool reuse counters.  Only the backend name
         when the run used neither (e.g. an interpreted variant on one task).
+    blas:
+        The BLAS thread budget the run held (threads in force, libraries
+        governed); ``None`` only for results built by hand.
     """
 
     kruskal: KruskalTensor
@@ -78,6 +82,7 @@ class CpalsResult:
     counters: CostCounters
     mttkrp_infos: list[MttkrpInfo] = field(default_factory=list)
     engine_stats: dict = field(default_factory=dict)
+    blas: blas_budget | None = None
 
     @property
     def fit(self) -> float:
@@ -114,6 +119,8 @@ class CpalsResult:
                 f"plan hits, {es.get('workers', 0)} pool workers over "
                 f"{es.get('dispatches', 0)} dispatches"
             )
+        if self.blas is not None:
+            lines.append(self.blas.describe())
         return "\n".join(lines)
 
 
@@ -206,7 +213,7 @@ def cp_als(
         ntasks=opts.env.num_tasks,
         tasking_layer=opts.env.tasking_layer,
     )
-    with run_span:
+    with run_span, blas_budget(opts.env) as blas:
         # Resolve the kernel backend once for the whole run; a compiled
         # backend pays its one-time JIT/compile cost here, inside the run
         # span, under its own distinct backend.compile span — never
@@ -351,4 +358,5 @@ def cp_als(
         counters=counters,
         mttkrp_infos=infos,
         engine_stats=engine_stats,
+        blas=blas,
     )

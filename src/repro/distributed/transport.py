@@ -167,7 +167,6 @@ class ProcTransport(Transport):
         import multiprocessing as mp
 
         from repro.distributed.worker import worker_main
-        from repro.runtime.env import limit_blas_threads
 
         part, grid = self.part, self.grid
         arena = ShmArena()
@@ -189,29 +188,26 @@ class ProcTransport(Transport):
             ctx = mp.get_context("spawn")
             manifest = arena.manifest()
             with _obs.span("dist.workers.spawn", locales=len(self.active)):
-                # Workers inherit the environment at spawn: pin BLAS/OpenMP
-                # to one thread each so N locales never oversubscribe.
-                with limit_blas_threads(1):
-                    for lrank in self.active:
-                        parent_conn, child_conn = ctx.Pipe()
-                        spec = {
-                            "dims": part.locale_tensors[lrank].dims,
-                            "rank": self.rank,
-                            "nnz_range": (int(offsets[lrank]), int(offsets[lrank + 1])),
-                            "blocks": self.blocks[lrank],
-                            "allocation": self.allocation,
-                            "backend": self._backend_name(),
-                        }
-                        proc = ctx.Process(
-                            target=worker_main,
-                            args=(child_conn, lrank, manifest, spec),
-                            name=f"repro-locale{lrank}",
-                            daemon=True,
-                        )
-                        proc.start()
-                        child_conn.close()
-                        self._procs[lrank] = proc
-                        self._conns[lrank] = parent_conn
+                for lrank in self.active:
+                    parent_conn, child_conn = ctx.Pipe()
+                    spec = {
+                        "dims": part.locale_tensors[lrank].dims,
+                        "rank": self.rank,
+                        "nnz_range": (int(offsets[lrank]), int(offsets[lrank + 1])),
+                        "blocks": self.blocks[lrank],
+                        "allocation": self.allocation,
+                        "backend": self._backend_name(),
+                    }
+                    proc = ctx.Process(
+                        target=worker_main,
+                        args=(child_conn, lrank, manifest, spec),
+                        name=f"repro-locale{lrank}",
+                        daemon=True,
+                    )
+                    proc.start()
+                    child_conn.close()
+                    self._procs[lrank] = proc
+                    self._conns[lrank] = parent_conn
                 for lrank in self.active:
                     msg = self._recv(lrank, _WORKER_START_TIMEOUT_S)
                     if msg[0] != "ready":  # pragma: no cover - protocol guard

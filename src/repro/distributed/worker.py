@@ -14,6 +14,9 @@ On startup it
    registry precedence (``numba``/``cext`` compile per process — compiled
    kernels are what make per-process MTTKRPs fast enough for the fold to
    matter);
+4. holds the BLAS thread budget (:class:`~repro.runtime.env.blas_budget`)
+   for its whole life, so N locales on N cores never oversubscribe the
+   BLAS pools;
 
 then serves the driver's command loop: for every ``("mttkrp", mode)`` it
 computes the local MTTKRP over its sub-volume and writes the rows of its
@@ -38,6 +41,7 @@ from repro.csf.build import build_csf_set
 from repro.distributed.shm import ShmArena
 from repro.mttkrp.variants import mttkrp_csf
 from repro.observe import spans as _obs
+from repro.runtime.env import ChapelEnv, blas_budget
 from repro.tensor.coo import SparseTensor
 
 __all__ = ["worker_main", "numeric_metrics"]
@@ -102,7 +106,7 @@ def worker_main(conn, locale_rank: int, manifest: dict, spec: dict) -> None:
     """
     recorder = _obs.TraceRecorder()
     try:
-        with _obs.tracing(recorder=recorder):
+        with _obs.tracing(recorder=recorder), blas_budget(ChapelEnv()):
             _serve(conn, locale_rank, manifest, spec)
         conn.send(("metrics", numeric_metrics(recorder)))
     except BaseException as exc:  # surface, don't die silently

@@ -8,53 +8,15 @@ the layer, affinity and spincount to decide lock and interference costs).
 
 from __future__ import annotations
 
+import ctypes
 import os
+import threading
 from dataclasses import dataclass, replace
+from typing import Callable
 
-__all__ = ["ChapelEnv", "TASKING_LAYERS", "DEFAULT_SPINCOUNT", "limit_blas_threads"]
+from repro.observe import spans as _obs
 
-#: Environment variables that size the BLAS/OpenMP thread pools numpy's
-#: backing libraries create at import time.
-_BLAS_THREAD_VARS = (
-    "OMP_NUM_THREADS",
-    "OPENBLAS_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
-)
-
-
-class limit_blas_threads:
-    """Pin BLAS/OpenMP pool sizes in ``os.environ`` for a ``with`` block.
-
-    The multi-process transport spawns one worker per locale; each spawned
-    interpreter imports numpy fresh and sizes its BLAS pools from the
-    environment *it inherits at spawn time*.  Wrapping the spawns in
-    ``limit_blas_threads(1)`` gives every locale a single-threaded BLAS —
-    the paper's own setting (Table II pins ``OMP_NUM_THREADS=1``) and the
-    only way N locales on N cores avoid oversubscription.  The previous
-    values are restored on exit, so the driver process is unaffected.
-    """
-
-    def __init__(self, nthreads: int = 1):
-        if nthreads < 1:
-            raise ValueError(f"nthreads must be >= 1, got {nthreads}")
-        self.nthreads = nthreads
-        self._saved: dict[str, str | None] = {}
-
-    def __enter__(self) -> "limit_blas_threads":
-        for var in _BLAS_THREAD_VARS:
-            self._saved[var] = os.environ.get(var)
-            os.environ[var] = str(self.nthreads)
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        for var, prev in self._saved.items():
-            if prev is None:
-                os.environ.pop(var, None)
-            else:
-                os.environ[var] = prev
-        self._saved.clear()
-        return False
+__all__ = ["ChapelEnv", "TASKING_LAYERS", "DEFAULT_SPINCOUNT", "blas_budget"]
 
 TASKING_LAYERS: tuple[str, ...] = ("qthreads", "fifo")
 
@@ -86,6 +48,9 @@ class ChapelEnv:
     omp_num_threads:
         OpenMP threads available to OpenBLAS inside the inverse routine
         (``OMP_NUM_THREADS``); the paper pins this to 1 for Chapel runs.
+        Real, not only modeled: every solver holds a :class:`blas_budget`
+        that sets each loaded OpenBLAS to at most this many threads (capped
+        so pool workers × BLAS threads never exceed the cores).
     """
 
     num_tasks: int = 1
@@ -141,3 +106,163 @@ class ChapelEnv:
         collapse for short critical sections; fifo spins instead.
         """
         return self.tasking_layer == "qthreads"
+
+
+# ----------------------------------------------------------------------
+# the BLAS thread budget
+# ----------------------------------------------------------------------
+#: (setter, getter) pairs an OpenBLAS build may export: numpy's ILP64 build
+#: carries the ``64_`` suffix, scipy's build the plain scipy prefix.
+_OPENBLAS_SYMBOLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+
+@dataclass(frozen=True)
+class _Openblas:
+    path: str
+    set_threads: Callable[[int], None]
+    get_threads: Callable[[], int]
+
+
+#: path -> bound library (``None``: mapped but exports no thread setter).
+_bound: dict[str, _Openblas | None] = {}
+
+
+def _bind(path: str) -> _Openblas | None:
+    try:
+        lib = ctypes.CDLL(path)
+    except OSError:
+        return None
+    for set_name, get_name in _OPENBLAS_SYMBOLS:
+        setter = getattr(lib, set_name, None)
+        getter = getattr(lib, get_name, None)
+        if setter is not None and getter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            return _Openblas(path, setter, getter)
+    return None
+
+
+def _mapped_openblas() -> list[_Openblas]:
+    """Every settable OpenBLAS mapped into this process, found through
+    ``/proc/self/maps`` (each library is bound once and cached)."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.rsplit(None, 1)[-1] for line in fh if "openblas" in line.lower()}
+    except OSError:
+        return []
+    found = []
+    for path in sorted(paths):
+        if "openblas" not in os.path.basename(path).lower():
+            continue
+        if path not in _bound:
+            _bound[path] = _bind(path)
+        if _bound[path] is not None:
+            found.append(_bound[path])
+    return found
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not Linux
+        return os.cpu_count() or 1
+
+
+class _BudgetState:
+    """The process-wide hold count and what the outermost holder changed.
+
+    Module-level on purpose: a library's thread count is process state, so
+    the one object that may change it is too.
+    """
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.depth = 0
+        self.threads = 0  # count applied by the outermost holder; 0 = miss
+        self.saved: list[tuple[_Openblas, int]] = []
+        self.misses = 0
+
+
+_state = _BudgetState()
+
+
+class blas_budget:
+    """Hold the process's BLAS thread budget for a ``with`` block.
+
+    The paper cures Qthreads × OpenMP interference by running OpenBLAS
+    single-threaded (Table II, ``OMP_NUM_THREADS=1``).  Entering sets every
+    OpenBLAS mapped into the process, through its exported setter, to
+    ``min(env.omp_num_threads, max(1, cores // env.num_tasks))`` so the
+    tasking layer's pool workers and the BLAS threads never oversubscribe
+    the cores.  Holds are reference-counted under one lock: only the outermost
+    entry applies the budget, nested and concurrent entries share it, and
+    the previous counts come back when the last holder exits (raising or
+    not).  A process with no settable OpenBLAS counts a miss and changes
+    nothing.
+
+    On entry the gauges ``runtime.cores``, ``runtime.pool_workers`` and
+    ``runtime.blas_threads`` (the count in force, 0 on a miss) and the
+    counter ``runtime.blas_budget_misses`` go to the active trace.
+    """
+
+    def __init__(self, env: ChapelEnv):
+        self.cores = _usable_cores()
+        self.pool_workers = env.num_tasks
+        self.target = min(env.omp_num_threads, max(1, self.cores // self.pool_workers))
+        #: Threads in force while held (0 when no OpenBLAS could be set).
+        self.threads = 0
+        #: OpenBLAS libraries the budget governs.
+        self.libraries = 0
+        self._held = False
+
+    def __enter__(self) -> "blas_budget":
+        with _state.lock:
+            if _state.depth == 0:
+                libs = _mapped_openblas()
+                _state.saved = [(lib, lib.get_threads()) for lib in libs]
+                for lib in libs:
+                    lib.set_threads(self.target)
+                _state.threads = self.target if libs else 0
+            _state.depth += 1
+            self._held = True
+            self.threads = _state.threads
+            self.libraries = len(_state.saved)
+            if not self.libraries:
+                _state.misses += 1
+        _obs.gauge("runtime.cores", self.cores)
+        _obs.gauge("runtime.pool_workers", self.pool_workers)
+        _obs.gauge("runtime.blas_threads", self.threads)
+        if not self.libraries:
+            _obs.count("runtime.blas_budget_misses")
+        return self
+
+    def __exit__(self, *exc) -> bool:
+        with _state.lock:
+            if not self._held:  # already released
+                return False
+            self._held = False
+            _state.depth -= 1
+            if _state.depth == 0:
+                for lib, prev in _state.saved:
+                    lib.set_threads(prev)
+                _state.saved = []
+                _state.threads = 0
+        return False
+
+    def describe(self) -> str:
+        """One-line report (what ``repro cpd`` prints)."""
+        if not self.libraries:
+            return "BLAS threads: library default (budget miss: no settable OpenBLAS)"
+        plural = "y" if self.libraries == 1 else "ies"
+        return f"BLAS threads: {self.threads} (budget; {self.libraries} OpenBLAS librar{plural})"
+
+    @staticmethod
+    def misses() -> int:
+        """Entries, process-wide, that found no settable OpenBLAS."""
+        with _state.lock:
+            return _state.misses

@@ -6,6 +6,10 @@ This is the reason the service exists.  One process-wide instance owns:
   runs the warm-up self-check), so no request ever pays JIT/compile cost;
 * one **persistent tasking layer** whose worker pool threads survive
   across jobs (PR 1 measured pool spin-up as a dominant cold-start term);
+* the process's **BLAS thread budget**
+  (:class:`~repro.runtime.env.blas_budget`), held from startup to
+  shutdown because the daemon owns its process — each job's solver entry
+  nests inside it as a no-op;
 * a **tensor cache** keyed by content fingerprint (path + mtime + size
   for file specs, a content hash for inline specs), so ten tenants
   decomposing the same tensor load it once;
@@ -43,7 +47,7 @@ from repro.csf.build import build_csf_set
 from repro.observe import TraceRecorder, tracing
 from repro.observe import spans as _obs
 from repro.resilience import fault as _flt
-from repro.runtime.env import ChapelEnv
+from repro.runtime.env import ChapelEnv, blas_budget
 from repro.runtime.tasking import make_tasking_layer
 from repro.serve import jobstore as js
 from repro.serve.jobstore import Job
@@ -103,6 +107,10 @@ class WarmEngine:
             "pool_dispatches": 0,
         }
         self.started_s = time.time()
+        # held until shutdown(); entered last so a failing constructor
+        # never leaves the process budgeted
+        self.blas = blas_budget(self.env)
+        self.blas.__enter__()
 
     # ------------------------------------------------------------------
     # metrics
@@ -117,6 +125,8 @@ class WarmEngine:
         out["backend_compile_seconds"] = float(self.backend.compile_seconds or 0.0)
         out["cached_tensors"] = len(self._tensors)
         out["cached_csf_sets"] = len(self._csf)
+        out["blas_threads"] = self.blas.threads
+        out["blas_budget_misses"] = blas_budget.misses()
         if self.layer._pool is not None:
             stats = self.layer.worker_pool.stats()
             out["pool_workers"] = stats.get("workers", 0)
@@ -397,8 +407,9 @@ class WarmEngine:
 
     # ------------------------------------------------------------------
     def shutdown(self) -> None:
-        """Stop the worker pool and drop the caches."""
+        """Stop the worker pool, release the BLAS budget and drop the caches."""
         self.layer.shutdown()
+        self.blas.__exit__(None, None, None)
         with self._run_lock:
             self._tensors.clear()
             self._csf.clear()

@@ -418,32 +418,49 @@ class ReproServer:
         return out
 
 
+#: Series whose value can go down (levels, sizes, current counts); every
+#: other series is a monotone counter.
+_GAUGES = frozenset({
+    "uptime_seconds", "queue_depth", "largest_batch", "cached_tensors",
+    "cached_csf_sets", "pool_workers", "blas_threads", "backend_compile_seconds",
+    "jobs", "tenant_jobs", "tenant_resident_bytes", "backend_info",
+})
+
+
+def _label_value(value: str) -> str:
+    """Escape a label value per the Prometheus text format."""
+    return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+
+
 def render_prometheus(metrics: dict[str, Any]) -> str:
     """Render the metrics dict as a Prometheus text-format page."""
-    lines: list[str] = []
+    families: dict[str, list[str]] = {}
 
-    def emit(name: str, value, help_text: str = "", labels: str = "") -> None:
-        if help_text:
-            lines.append(f"# HELP {name} {help_text}")
-            lines.append(f"# TYPE {name} counter")
-        lines.append(f"{name}{labels} {float(value):g}")
+    def emit(key: str, value, label: str = "", label_value: str = "") -> None:
+        labels = f'{{{label}="{_label_value(label_value)}"}}' if label else ""
+        families.setdefault(key, []).append(f"repro_serve_{key}{labels} {float(value):g}")
 
-    emit("repro_serve_uptime_seconds", metrics["uptime_seconds"],
-         "seconds since the engine warmed up")
+    emit("uptime_seconds", metrics["uptime_seconds"])
     engine = metrics["engine"]
     for key in sorted(engine):
-        emit(f"repro_serve_{key}", engine[key])
+        emit(key, engine[key])
     sched = metrics["scheduler"]
     for key in ("batches", "batched_jobs", "largest_batch", "queue_depth"):
-        emit(f"repro_serve_{key}", sched[key])
+        emit(key, sched[key])
     for state, n in sorted(metrics["jobs_by_state"].items()):
-        emit("repro_serve_jobs", n, labels=f'{{state="{state}"}}')
+        emit("jobs", n, "state", state)
     for tenant, usage in sorted(metrics["tenants"].items()):
-        emit("repro_serve_tenant_jobs", usage["jobs"],
-             labels=f'{{tenant="{tenant}"}}')
-        emit("repro_serve_tenant_resident_bytes", usage["resident_bytes"],
-             labels=f'{{tenant="{tenant}"}}')
+        emit("tenant_jobs", usage["jobs"], "tenant", tenant)
+        emit("tenant_resident_bytes", usage["resident_bytes"], "tenant", tenant)
     if "sanitize_findings" in metrics:
-        emit("repro_serve_sanitize_findings", metrics["sanitize_findings"])
-    lines.append(f'repro_serve_backend_info{{backend="{metrics["backend"]}"}} 1')
+        emit("sanitize_findings", metrics["sanitize_findings"])
+    emit("backend_info", 1, "backend", metrics["backend"])
+
+    lines: list[str] = []
+    for key, samples in families.items():
+        name = f"repro_serve_{key}"
+        if key == "uptime_seconds":
+            lines.append(f"# HELP {name} seconds since the engine warmed up")
+        lines.append(f"# TYPE {name} {'gauge' if key in _GAUGES else 'counter'}")
+        lines.extend(samples)
     return "\n".join(lines) + "\n"

@@ -28,6 +28,7 @@ import numpy as np
 from repro._util import VALUE_DTYPE, as_rng, check_positive
 from repro.observe import spans as _obs
 from repro.resilience.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from repro.runtime.env import ChapelEnv, blas_budget
 from repro.tensor.coo import SparseTensor
 from repro.tucker.ttmc import ttmc
 
@@ -222,7 +223,7 @@ def tucker_hooi(
         nnz=tensor.nnz,
         init=init,
     )
-    with run_span:
+    with run_span, blas_budget(ChapelEnv()):
         from repro.backend import resolve_backend
 
         bk = resolve_backend(backend)

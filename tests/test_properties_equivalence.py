@@ -4,13 +4,16 @@ simulated runtime must produce the *same numbers*.
 Randomized COO tensors (orders 2-5, with duplicate coordinates and empty
 slices as explicit edge cases) are decomposed/MTTKRP'd under every axis the
 runtime exposes — tasking layer (qthreads/fifo), lock policy, task count,
-tracing enabled vs disabled — and the results
+tracing enabled vs disabled, BLAS thread budget applied vs the library's
+default thread count — and the results
 must agree to ``allclose`` with the canonical serial run.  This is the
 "non-perturbing" contract of docs/OBSERVABILITY.md plus the paper's claim
 that its parallelization choices are bitwise-benign reorderings.
 """
 
 from __future__ import annotations
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +26,7 @@ from repro.csf.build import build_csf_set
 from repro.mttkrp.reference import dense_mttkrp_reference
 from repro.mttkrp.variants import mttkrp_csf
 from repro.observe import tracing
+from repro.runtime import env as env_mod
 from repro.runtime.env import ChapelEnv
 from repro.tensor.coo import SparseTensor
 
@@ -130,7 +134,7 @@ def test_mttkrp_unchanged_by_tracing(data):
 # CP-ALS equivalence
 # ----------------------------------------------------------------------
 def _one_iteration(tensor, *, layer="qthreads", ntasks=1, mutex="atomic",
-                   force_locks=None, traced=False):
+                   force_locks=None, traced=False, blas_default=False):
     opts = CpalsOptions(
         max_iterations=1,
         tolerance=0.0,
@@ -139,6 +143,9 @@ def _one_iteration(tensor, *, layer="qthreads", ntasks=1, mutex="atomic",
         force_locks=force_locks,
         seed=11,
     )
+    if blas_default:  # the budget finds no OpenBLAS: library thread counts stay
+        with mock.patch.object(env_mod, "_mapped_openblas", lambda: []):
+            return cp_als(tensor, 3, opts)
     if traced:
         with tracing():
             return cp_als(tensor, 3, opts)
@@ -156,6 +163,7 @@ def test_cp_als_iteration_agrees_across_layers_and_locks(tensor):
         dict(layer="fifo", ntasks=4),
         dict(ntasks=4, traced=True),
         dict(traced=True),
+        dict(ntasks=4, blas_default=True),
     ):
         other = _one_iteration(tensor, **kwargs)
         assert other.fit == pytest.approx(base.fit, rel=1e-9, abs=1e-12), kwargs

@@ -3,10 +3,15 @@
 import threading
 import time
 
+import numpy as np
 import pytest
 
+from repro.core.cpals import cp_als
+from repro.core.options import CpalsOptions
+from repro.observe import tracing
+from repro.runtime import env as env_mod
 from repro.runtime.accounting import CostCounters
-from repro.runtime.env import ChapelEnv, DEFAULT_SPINCOUNT
+from repro.runtime.env import ChapelEnv, DEFAULT_SPINCOUNT, blas_budget
 from repro.runtime.locks import (
     AtomicLockPool,
     SyncLockPool,
@@ -63,6 +68,166 @@ class TestChapelEnv:
             ChapelEnv(qt_spincount=-1)
         with pytest.raises(ValueError):
             ChapelEnv(omp_num_threads=0)
+
+
+def _blas_counts() -> list[int]:
+    return [lib.get_threads() for lib in env_mod._mapped_openblas()]
+
+
+@pytest.fixture()
+def blas_prior():
+    """Every loaded OpenBLAS set to 2 threads (unlike the budget's 1) with
+    no budget held; the test's own counts come back afterwards."""
+    libs = env_mod._mapped_openblas()
+    if not libs:
+        pytest.skip("no settable OpenBLAS in this process")
+    assert env_mod._state.depth == 0, "a BLAS budget leaked from an earlier test"
+    before = [lib.get_threads() for lib in libs]
+    for lib in libs:
+        lib.set_threads(2)
+    yield [2] * len(libs)
+    for lib, n in zip(libs, before):
+        lib.set_threads(n)
+
+
+def _budget_tensor():
+    from repro.tensor.generate import random_tensor
+
+    return random_tensor((30, 20, 25), 600, seed=5)
+
+
+def _opts(**env_kwargs) -> CpalsOptions:
+    return CpalsOptions(max_iterations=3, tolerance=0.0, seed=2,
+                        env=ChapelEnv(**env_kwargs))
+
+
+class TestBlasBudget:
+    def test_cp_als_holds_the_budget_and_restores(self, blas_prior):
+        seen = []
+        result = cp_als(_budget_tensor(), 4, _opts(num_tasks=2),
+                        callback=lambda it, fit, f: seen.append(_blas_counts()))
+        assert seen and all(c == [1] * len(blas_prior) for c in seen)
+        assert _blas_counts() == blas_prior
+        assert result.blas.threads == 1
+        assert result.blas.libraries == len(blas_prior)
+        assert f"BLAS threads: 1 (budget; {len(blas_prior)} OpenBLAS" in result.summary()
+
+    def test_run_records_gauges(self, blas_prior):
+        with tracing() as rec:
+            cp_als(_budget_tensor(), 4, _opts(num_tasks=2))
+        gauges = rec.gauges()
+        assert gauges["runtime.blas_threads"] == 1
+        assert gauges["runtime.pool_workers"] == 2
+        assert gauges["runtime.cores"] >= 1
+        assert "runtime.blas_budget_misses" not in rec.counters()
+
+    def test_nested_entry_is_a_no_op(self, blas_prior):
+        with blas_budget(ChapelEnv()) as outer:
+            with blas_budget(ChapelEnv(omp_num_threads=2)) as inner:
+                assert inner.threads == outer.threads == 1
+                assert _blas_counts() == [1] * len(blas_prior)
+            assert _blas_counts() == [1] * len(blas_prior)
+        assert _blas_counts() == blas_prior
+
+    def test_exception_inside_restores(self, blas_prior):
+        with pytest.raises(RuntimeError, match="boom"):
+            with blas_budget(ChapelEnv()):
+                with blas_budget(ChapelEnv()):
+                    raise RuntimeError("boom")
+        assert _blas_counts() == blas_prior
+        assert env_mod._state.depth == 0
+
+        def stop(it, fit, factors):
+            raise RuntimeError("boom in callback")
+
+        with pytest.raises(RuntimeError, match="boom in callback"):
+            cp_als(_budget_tensor(), 4, _opts(), callback=stop)
+        assert _blas_counts() == blas_prior
+
+    def test_concurrent_runs_restore_after_the_last_exits(self, blas_prior):
+        tensor = _budget_tensor()
+        inside = [threading.Event(), threading.Event()]
+        release = [threading.Event(), threading.Event()]
+        errors = []
+
+        def run(i):
+            def hold(it, fit, factors):
+                if it == 1:
+                    inside[i].set()
+                    assert release[i].wait(30)
+                return False
+
+            try:
+                cp_als(tensor, 4, _opts(), callback=hold)
+            except BaseException as exc:  # surfaced by the main thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        assert inside[0].wait(30) and inside[1].wait(30)
+        assert _blas_counts() == [1] * len(blas_prior)
+        release[0].set()
+        threads[0].join(30)
+        assert _blas_counts() == [1] * len(blas_prior)  # the second run still holds it
+        release[1].set()
+        threads[1].join(30)
+        assert not errors
+        assert _blas_counts() == blas_prior
+
+    def test_no_openblas_counts_a_miss(self, blas_prior, monkeypatch):
+        tensor = _budget_tensor()
+        budgeted = cp_als(tensor, 4, _opts(num_tasks=2))
+        monkeypatch.setattr(env_mod, "_mapped_openblas", lambda: [])
+        misses = blas_budget.misses()
+        with tracing() as rec:
+            missed = cp_als(tensor, 4, _opts(num_tasks=2))
+        assert blas_budget.misses() == misses + 1
+        assert rec.counters()["runtime.blas_budget_misses"] == 1
+        assert rec.gauges()["runtime.blas_threads"] == 0
+        assert missed.blas.threads == 0
+        assert "budget miss" in missed.summary()
+        assert missed.fits == pytest.approx(budgeted.fits, rel=1e-10)
+        for fa, fb in zip(missed.kruskal.factors, budgeted.kruskal.factors):
+            np.testing.assert_allclose(fa, fb, rtol=1e-10, atol=1e-12)
+
+    def test_stress_many_threads_nested_entries(self, blas_prior):
+        """More holders than cores, a short switch interval: while any
+        holder is inside the counts read the budget, and the last exit
+        restores them."""
+        import sys
+
+        ok = []
+
+        def churn():
+            for _ in range(200):
+                with blas_budget(ChapelEnv()):
+                    with blas_budget(ChapelEnv()):
+                        ok.append(_blas_counts() == [1] * len(blas_prior))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=churn) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(ok) == 8 * 200 and all(ok)
+        assert env_mod._state.depth == 0
+        assert _blas_counts() == blas_prior
+
+    def test_cap_keeps_workers_times_threads_within_cores(self, blas_prior, monkeypatch):
+        monkeypatch.setattr(env_mod, "_usable_cores", lambda: 2)
+        budget = blas_budget(ChapelEnv(num_tasks=2, omp_num_threads=4))
+        assert (budget.cores, budget.pool_workers, budget.target) == (2, 2, 1)
+        with budget:
+            assert _blas_counts() == [1] * len(blas_prior)
+        assert blas_budget(ChapelEnv(omp_num_threads=4)).target == 2
+        assert blas_budget(ChapelEnv(num_tasks=8, omp_num_threads=4)).target == 1
 
 
 class TestStaticBlock:

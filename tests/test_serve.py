@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -21,6 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.runtime import env as env_mod
 from repro.serve import (
     QuotaExceeded,
     QuotaPolicy,
@@ -549,7 +551,9 @@ class TestMetrics:
         job = client.submit(cpd_spec(seed=1))
         client.wait(job["id"], timeout=60)
         text = client.metrics(format="prometheus")["text"]
-        assert "# TYPE repro_serve_uptime_seconds counter" in text
+        assert "# TYPE repro_serve_uptime_seconds gauge" in text
+        assert "# TYPE repro_serve_plan_hits counter" in text
+        assert "# TYPE repro_serve_blas_threads gauge" in text
         assert 'repro_serve_jobs{state="done"} 1' in text
         assert "repro_serve_plan_hits" in text
         assert 'repro_serve_tenant_jobs{tenant="default"} 1' in text
@@ -561,6 +565,36 @@ class TestMetrics:
             name, value = line.rsplit(" ", 1)
             assert name.startswith("repro_serve_")
             float(value)
+
+    def test_engine_reports_blas_budget(self, client):
+        engine = client.metrics()["metrics"]["engine"]
+        libs = env_mod._mapped_openblas()
+        assert engine["blas_threads"] == (1 if libs else 0)
+        assert "blas_budget_misses" in engine
+        assert [lib.get_threads() for lib in libs] == [1] * len(libs)
+
+    def test_prometheus_escapes_tenant_labels(self, client):
+        tenant = 'a"b\\c\nforged_metric 1'
+        job = client.submit(cpd_spec(seed=1), tenant=tenant)
+        client.wait(job["id"], timeout=60)
+        text = client.metrics(format="prometheus")["text"]
+        samples = [line for line in text.splitlines() if not line.startswith("#")]
+        sample = re.compile(r'^(repro_serve_\w+)(?:\{(\w+)="((?:[^"\\]|\\.)*)"\})? (\S+)$')
+        seen: dict[tuple, int] = {}
+        tenants = set()
+        for line in samples:
+            m = sample.match(line)
+            assert m, f"malformed sample line {line!r}"
+            name, label, raw, value = m.groups()
+            float(value)
+            seen[(name, raw)] = seen.get((name, raw), 0) + 1
+            if label == "tenant":
+                tenants.add(re.sub(r"\\(.)", lambda e: {"n": "\n"}.get(e[1], e[1]), raw))
+        assert all(n == 1 for n in seen.values()), seen
+        assert tenant in tenants
+        assert not any(line.startswith("forged_metric") for line in text.splitlines())
+        types = [line for line in text.splitlines() if line.startswith("# TYPE")]
+        assert len(types) == len({name for name, _ in seen})
 
     def test_sanitize_findings_gauge_present(self, tmp_path):
         config = ServeConfig(port=0, spool=tmp_path / "spool", sanitize=True)
