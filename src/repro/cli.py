@@ -43,7 +43,7 @@ from repro._util import human_bytes
 from repro.completion.driver import ALGORITHMS, CompletionOptions, complete
 from repro.core.cpals import cp_als
 from repro.core.model_io import save_kruskal_dir, save_kruskal_npz
-from repro.core.options import CpalsOptions, DEFAULT_ITERATIONS, DEFAULT_RANK
+from repro.core.options import CpalsOptions, DEFAULT_ITERATIONS, DEFAULT_RANK, TRANSPORTS
 from repro.observe import tracing
 from repro.runtime.env import ChapelEnv
 from repro.tensor.generate import DATASET_SIGNATURES, synthetic_dataset
@@ -614,7 +614,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--locales", "-l", type=int, default=1,
                    help="locale count for distributed CP-ALS (medium-grained "
                         "grid; default 1 = serial)")
-    p.add_argument("--transport", default="sim", choices=["sim", "proc"],
+    p.add_argument("--transport", default="sim", choices=TRANSPORTS,
                    help="distributed data plane: 'sim' runs locales "
                         "in-process (metered simulation), 'proc' spawns one "
                         "worker process per locale exchanging through shared "

@@ -10,11 +10,15 @@ from repro.mttkrp.variants import ACCESS_VARIANTS
 from repro.runtime.env import ChapelEnv
 from repro.tensor.sort import SORT_VARIANTS
 
-__all__ = ["CpalsOptions", "DEFAULT_RANK", "DEFAULT_ITERATIONS"]
+__all__ = ["CpalsOptions", "DEFAULT_RANK", "DEFAULT_ITERATIONS", "TRANSPORTS"]
 
 #: The paper's experiments use rank 35 and 20 iterations throughout (§V-A).
 DEFAULT_RANK = 35
 DEFAULT_ITERATIONS = 20
+
+#: Distributed data planes (``--transport`` / :attr:`CpalsOptions.transport`),
+#: implemented in :mod:`repro.distributed.transport`.
+TRANSPORTS: tuple[str, ...] = ("sim", "proc")
 
 
 @dataclass
@@ -122,10 +126,6 @@ class CpalsOptions:
                 )
         if self.locales < 1:
             raise ValueError(f"locales must be >= 1, got {self.locales}")
-        # Imported lazily, like the backend check above: core.options must
-        # not import repro.distributed (which imports core) at module scope.
-        from repro.distributed.transport import TRANSPORTS
-
         if self.transport not in TRANSPORTS:
             raise ValueError(
                 f"unknown transport {self.transport!r}; choose from {TRANSPORTS}"

@@ -57,6 +57,7 @@ from repro.linalg.fit import calc_fit
 from repro.linalg.inverse import solve_normal_equations
 from repro.linalg.norms import normalize_columns
 from repro.observe import spans as _obs
+from repro.runtime.env import ChapelEnv, blas_budget
 from repro.tensor.coo import SparseTensor
 
 __all__ = ["DistributedResult", "distributed_cp_als"]
@@ -163,7 +164,6 @@ def distributed_cp_als(
     rng = as_rng(seed)
     factors = init_factors(tensor.dims, rank, rng)
     lam = np.ones(rank, dtype=VALUE_DTYPE)
-    grams = [gram(f) for f in factors]
     xnorm2 = tensor.norm() ** 2
 
     fits: list[float] = []
@@ -171,7 +171,10 @@ def distributed_cp_als(
     iterations = 0
 
     tr = make_transport(transport, part, grid, rank, backend=backend)
-    with tr:
+    # The driver's grams and solves hold the process's BLAS budget, as
+    # serial cp_als does; proc workers hold their own.
+    with blas_budget(ChapelEnv()), tr:
+        grams = [gram(f) for f in factors]
         with _obs.span("dist.transport.start", transport=tr.name,
                        locales=grid.nlocales):
             tr.start(factors)

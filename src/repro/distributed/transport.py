@@ -35,15 +35,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro._util import VALUE_DTYPE
+from repro.core.options import TRANSPORTS
 from repro.distributed.grid import LocaleGrid
 from repro.distributed.partition import MediumGrainPartition
 from repro.distributed.shm import ShmArena
 from repro.observe import spans as _obs
 
 __all__ = ["Transport", "SimTransport", "ProcTransport", "make_transport", "TRANSPORTS"]
-
-#: Registered transport names (`--transport` / ``CpalsOptions.transport``).
-TRANSPORTS: tuple[str, ...] = ("sim", "proc")
 
 #: Seconds to wait for a worker to spawn, import and build its CSF.
 _WORKER_START_TIMEOUT_S = 120.0

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import gzip
 import os
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -104,6 +105,13 @@ def load_tns(
     ``.gz`` paths are decompressed transparently (FROSTT distributes
     tensors gzipped).
 
+    The whole file is parsed by one vectorized ``np.loadtxt`` call and the
+    arrays are validated in bulk.  A file that call cannot parse or that
+    fails a check — any comment line (``#``/``%``) included — is read
+    again line by line; that pass returns the same tensor or raises the
+    exact ``file:line`` error below, so it is the diagnostic for invalid
+    input rather than a second parser to choose.
+
     Raises
     ------
     ValueError
@@ -112,9 +120,62 @@ def load_tns(
         below the index base or outside explicit ``dims``.  Messages
         carry the *file* line number (counting comments and blanks), not
         the nonzero's ordinal, so the offending line can be found in an
-        editor.
+        editor.  A corrupt ``.gz`` stream or bytes that are not UTF-8 also
+        raise a :class:`ValueError` naming the file.
     """
     path = Path(path)
+    try:
+        tensor = _load_tns_whole(path, dims, one_indexed)
+        return tensor if tensor is not None else _load_tns_lines(path, dims, one_indexed)
+    except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
+        raise ValueError(f"{path}: corrupt gzip stream: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _undecodable(path) from exc
+
+
+def _tensor_name(path: Path) -> str:
+    name = path.stem
+    if name.endswith(".tns"):
+        name = name[: -len(".tns")]
+    return name
+
+
+def _load_tns_whole(
+    path: Path, dims: tuple[int, ...] | None, one_indexed: bool
+) -> SparseTensor | None:
+    """The whole-buffer parse, or ``None`` when it cannot vouch for the
+    file (then :func:`_load_tns_lines` reads it and names the fault)."""
+    with _open_text(path, "r") as fh:
+        first = next((fields for fields in map(str.split, fh) if fields), [])
+        if len(first) < 2 or first[0].startswith(("#", "%")):
+            return None
+        nmodes = len(first) - 1
+        fh.seek(0)
+        record = np.dtype([("coords", INDEX_DTYPE, (nmodes,)), ("value", VALUE_DTYPE)])
+        try:
+            table = np.loadtxt(fh, dtype=record, comments=None, ndmin=1)
+        except ValueError:
+            return None
+    coords = np.ascontiguousarray(table["coords"])
+    values = np.ascontiguousarray(table["value"])
+    base = 1 if one_indexed else 0
+    if not len(values) or not np.isfinite(values).all() or (coords < base).any():
+        return None
+    coords -= base
+    if dims is None:
+        dims = tuple(int(d) + 1 for d in coords.max(axis=0))
+    else:
+        dims = tuple(int(d) for d in dims)
+        if len(dims) != nmodes or (coords >= np.asarray(dims, dtype=INDEX_DTYPE)).any():
+            return None
+    return SparseTensor(coords, values, dims, name=_tensor_name(path))
+
+
+def _load_tns_lines(
+    path: Path, dims: tuple[int, ...] | None, one_indexed: bool
+) -> SparseTensor:
+    """The line-by-line reader: validates every field and raises the
+    precise ``file:line`` error for the first bad one."""
     rows: list[tuple[int, list[str]]] = []
     with _open_text(path, "r") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -172,10 +233,21 @@ def load_tns(
                 f"{path}:{lineno}: coordinate {coord} exceeds dims {dims} "
                 f"({'1' if one_indexed else '0'}-indexed)"
             )
-    name = path.stem
-    if name.endswith(".tns"):
-        name = name[: -len(".tns")]
-    return SparseTensor(coords, values, dims, name=name)
+    return SparseTensor(coords, values, dims, name=_tensor_name(path))
+
+
+def _undecodable(path: Path) -> ValueError:
+    """A ``file:line`` error for the first byte of ``path`` that is not
+    UTF-8 (the text stream's own error counts from its read buffer)."""
+    opener = gzip.open if path.suffix == ".gz" else open
+    with opener(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = len((raw[: exc.start] + b"x").splitlines())
+        return ValueError(f"{path}:{lineno}: not UTF-8 text: {exc}")
+    return ValueError(f"{path}: not UTF-8 text")
 
 
 def save_tns(

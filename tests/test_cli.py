@@ -40,6 +40,17 @@ class TestCheck:
         assert main(["check", str(bad)]) == 1
         assert "INVALID" in capsys.readouterr().err
 
+    def test_truncated_gz_is_invalid_and_named(self, tns_file, tmp_path, capsys):
+        path = tmp_path / "data.tns.gz"
+        save_tns(load_tns(tns_file), path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[: len(raw) // 2])
+        assert main(["check", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"INVALID: {path}: corrupt gzip stream: Compressed file ended "
+            "before the end-of-stream marker was reached\n"
+        )
+
     def test_reports_duplicates(self, tmp_path, capsys):
         path = tmp_path / "dup.tns"
         path.write_text("1 1 1.0\n1 1 2.0\n2 2 1.0\n")

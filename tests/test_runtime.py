@@ -175,6 +175,23 @@ class TestBlasBudget:
         assert not errors
         assert _blas_counts() == blas_prior
 
+    def test_distributed_driver_holds_the_budget(self, blas_prior, monkeypatch):
+        from repro.distributed import cpals as dist_cpals
+        from repro.distributed import distributed_cp_als
+
+        seen = []
+        solve = dist_cpals.solve_normal_equations
+
+        def recording_solve(*args, **kwargs):
+            seen.append(_blas_counts())
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(dist_cpals, "solve_normal_equations", recording_solve)
+        distributed_cp_als(_budget_tensor(), 4, nlocales=2, transport="sim",
+                           max_iterations=2, tolerance=0.0)
+        assert seen and all(c == [1] * len(blas_prior) for c in seen)
+        assert _blas_counts() == blas_prior
+
     def test_no_openblas_counts_a_miss(self, blas_prior, monkeypatch):
         tensor = _budget_tensor()
         budgeted = cp_als(tensor, 4, _opts(num_tasks=2))

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.tensor.coo import SparseTensor
 from repro.tensor.io import load_binary, load_tns, save_binary, save_tns
@@ -416,3 +417,183 @@ class TestMmapAtomicWrite:
         assert path.read_bytes() == before
         reloaded = load_mmap(path)
         np.testing.assert_array_equal(reloaded.values, small_tensor.values)
+
+
+# ----------------------------------------------------------------------
+# whole-buffer parse vs the line-by-line diagnostic pass
+# ----------------------------------------------------------------------
+def _outcome(load, path, **kwargs):
+    """``("ok", coords, value bytes, dims, name)`` or ``("error", type,
+    message)`` of one load, so two loaders can be compared exactly."""
+    try:
+        t = load(path, **kwargs)
+    except Exception as exc:  # noqa: BLE001 - the error itself is compared
+        return ("error", type(exc), str(exc))
+    return ("ok", t.coords.dtype, t.coords.tolist(), t.values.dtype,
+            t.values.tobytes(), t.dims, t.name)
+
+
+def _slow(path, *, dims=None, one_indexed=True):
+    from repro.tensor.io import _load_tns_lines
+
+    return _load_tns_lines(path, dims, one_indexed)
+
+
+@st.composite
+def tns_files(draw):
+    """A valid text tensor as ``(text, dims, one_indexed, gz, crlf)``:
+    2–5 modes, mixed whitespace, blank lines, ``repr(float)`` values."""
+    nmodes = draw(st.integers(2, 5))
+    one_indexed = draw(st.booleans())
+    base = 1 if one_indexed else 0
+    nnz = draw(st.integers(1, 25))
+    coords = draw(st.lists(
+        st.lists(st.integers(0, 40), min_size=nmodes, max_size=nmodes),
+        min_size=nnz, max_size=nnz))
+    values = draw(st.lists(
+        st.floats(allow_nan=False, allow_infinity=False), min_size=nnz, max_size=nnz))
+    sep = st.sampled_from([" ", "\t", "  ", " \t "])
+    pad = st.sampled_from(["", " ", "\t", "  "])
+    lines = []
+    for coord, value in zip(coords, values):
+        if draw(st.booleans()) and draw(st.booleans()):
+            lines.append(draw(pad))  # a blank (or whitespace-only) line
+        fields = [str(c + base) for c in coord] + [repr(float(value))]
+        text = fields[0]
+        for field in fields[1:]:
+            text += draw(sep) + field
+        lines.append(draw(pad) + text + draw(pad))
+    maxima = np.max(np.asarray(coords), axis=0) + 1
+    dims = None
+    if draw(st.booleans()):
+        dims = tuple(int(m) + draw(st.integers(0, 3)) for m in maxima)
+    crlf = draw(st.booleans())
+    return "\n".join(lines) + "\n", dims, one_indexed, draw(st.booleans()), crlf
+
+
+class TestWholeBufferParse:
+    @given(tns_files())
+    @settings(max_examples=60, deadline=None)
+    def test_fast_path_equals_slow_path(self, case):
+        """On any valid file the whole-buffer parse vouches for the file
+        and returns exactly what the line-by-line pass returns."""
+        import gzip
+        import tempfile
+        from pathlib import Path
+
+        from repro.tensor.io import _load_tns_whole
+
+        text, dims, one_indexed, gz, crlf = case
+        data = text.replace("\n", "\r\n" if crlf else "\n").encode()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / ("case.tns.gz" if gz else "case.tns")
+            path.write_bytes(gzip.compress(data) if gz else data)
+
+            def fast(p, *, dims=None, one_indexed=True):
+                tensor = _load_tns_whole(p, dims, one_indexed)
+                assert tensor is not None, "valid file sent to the slow path"
+                return tensor
+
+            kwargs = {"dims": dims, "one_indexed": one_indexed}
+            got = _outcome(fast, path, **kwargs)
+            assert got[0] == "ok"
+            assert got == _outcome(_slow, path, **kwargs)
+            assert got == _outcome(load_tns, path, **kwargs)
+
+    @pytest.mark.parametrize("text", [
+        "1 2 3 1.5 # trailing comment\n",
+        "1 2 3 1.5\n4 5 6 2.5 # trailing comment\n",
+        "1.0 2 3 1.5\n",
+        "1_0 2 3 1.5\n",
+        "1 2 3 1_0\n",
+        "+1 2 +3 +1.5\n",
+        "1 2 3 0x1p3\n",
+        "1 2 3 nan\n",
+        "1 2 3 1e400\n",
+        "1 2 3 -inf\n",
+        "99999999999999999999 2 3 1.0\n",
+        "9223372036854775807 2 3 1.0\n",
+        "1\x0c2 3 1.0\n4 5\x0c6 2.0\n",
+        "1\xa02 3 1.0\n",
+        "1\u20032\x0b3 1.0\n",
+        "\x0c\n1 2 3 1.0\n\x0c\n",
+        "0 2 3 1.0\n",
+        "1 2\n1 2 3\n",
+        "1\n",
+        "",
+        "\n  \n\t\n",
+        "# only a comment\n",
+        "% only a comment\n",
+        "# header\n1 2 3 1.0\n",
+        "1 2 3 1.0\n% mid-file comment\n4 5 6 2.0\n",
+        "\ufeff1 2 3 1.0\n",
+        "1 2 3 5e-324\n2 2 2 -0.0\n",
+    ], ids=repr)
+    @pytest.mark.parametrize("dims", [None, (40, 40, 40), (2, 2)])
+    def test_edge_cases_match_slow_path(self, tmp_path, text, dims):
+        path = tmp_path / "edge.tns"
+        path.write_bytes(text.encode())
+        assert _outcome(load_tns, path, dims=dims) == _outcome(_slow, path, dims=dims)
+
+    def test_valid_file_takes_the_fast_path(self, small_tensor, tmp_path, monkeypatch):
+        from repro.tensor import io
+
+        def no_slow_path(*args, **kwargs):
+            raise AssertionError("line-by-line pass ran on a valid file")
+
+        monkeypatch.setattr(io, "_load_tns_lines", no_slow_path)
+        for name in ("t.tns", "t.tns.gz"):
+            save_tns(small_tensor, tmp_path / name)
+            loaded = load_tns(tmp_path / name, dims=small_tensor.dims)
+            assert loaded == SparseTensor(small_tensor.coords, small_tensor.values,
+                                          small_tensor.dims)
+        path = tmp_path / "c.tns"
+        path.write_text("# a comment line takes the slow path\n1 1 1.0\n")
+        with pytest.raises(AssertionError, match="line-by-line pass ran"):
+            load_tns(path)
+
+
+class TestCorruptInput:
+    """Corrupt compression and undecodable bytes fail as ``ValueError``s
+    that name the file, on both the fast and the line-by-line path."""
+
+    def test_truncated_gz_names_the_file(self, small_tensor, tmp_path):
+        path = tmp_path / "t.tns.gz"
+        save_tns(small_tensor, path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[: len(raw) // 2])
+        with pytest.raises(ValueError) as info:
+            load_tns(path)
+        assert str(info.value) == (
+            f"{path}: corrupt gzip stream: Compressed file ended before the "
+            "end-of-stream marker was reached"
+        )
+
+    def test_not_gzip_names_the_file(self, tmp_path):
+        path = tmp_path / "t.tns.gz"
+        path.write_text("1 1 1 1.0\n")
+        with pytest.raises(ValueError) as info:
+            load_tns(path)
+        assert str(info.value) == (
+            f"{path}: corrupt gzip stream: Not a gzipped file (b'1 ')"
+        )
+
+    @pytest.mark.parametrize("header", ["", "# comment\n"], ids=["fast", "slow"])
+    @pytest.mark.parametrize("bad_line", [3, 3000])
+    @pytest.mark.parametrize("suffix", [".tns", ".tns.gz"])
+    def test_undecodable_byte_names_file_and_line(self, tmp_path, header,
+                                                  bad_line, suffix):
+        import gzip
+
+        lines = [f"{i} 1 1 1.0\n" for i in range(1, 4000)]
+        lines[bad_line - 1 - bool(header)] = "7 7 \udcff 1.0\n"
+        data = (header + "".join(lines)).encode("utf-8", "surrogateescape")
+        position = data.index(b"\xff")
+        path = tmp_path / f"bad{suffix}"
+        path.write_bytes(gzip.compress(data) if suffix.endswith(".gz") else data)
+        with pytest.raises(ValueError) as info:
+            load_tns(path)
+        assert str(info.value) == (
+            f"{path}:{bad_line}: not UTF-8 text: 'utf-8' codec can't decode "
+            f"byte 0xff in position {position}: invalid start byte"
+        )
