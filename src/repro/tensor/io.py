@@ -20,8 +20,10 @@ comment lines (``#``) and blank-line tolerance, plus two binary formats:
 
 from __future__ import annotations
 
+import codecs
 import gzip
 import os
+import warnings
 import zlib
 from pathlib import Path
 
@@ -153,8 +155,13 @@ def _load_tns_whole(
         fh.seek(0)
         record = np.dtype([("coords", INDEX_DTYPE, (nmodes,)), ("value", VALUE_DTYPE)])
         try:
-            table = np.loadtxt(fh, dtype=record, comments=None, ndmin=1)
-        except ValueError:
+            # numpy releases that only deprecated truncating a float field
+            # such as ``2.7`` into an integer column warn instead of failing;
+            # as an error the warning sends the file to the line loop.
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", DeprecationWarning)
+                table = np.loadtxt(fh, dtype=record, comments=None, ndmin=1)
+        except (ValueError, DeprecationWarning):
             return None
     coords = np.ascontiguousarray(table["coords"])
     values = np.ascontiguousarray(table["value"])
@@ -236,18 +243,41 @@ def _load_tns_lines(
     return SparseTensor(coords, values, dims, name=_tensor_name(path))
 
 
+#: Bytes :func:`_undecodable` decodes at a time, so finding a bad byte in a
+#: multi-GB tensor never holds the whole file in memory.
+_DECODE_CHUNK = 1 << 20
+
+
 def _undecodable(path: Path) -> ValueError:
     """A ``file:line`` error for the first byte of ``path`` that is not
     UTF-8 (the text stream's own error counts from its read buffer)."""
     opener = gzip.open if path.suffix == ".gz" else open
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    offset, lineno = 0, 1
     with opener(path, "rb") as fh:
-        raw = fh.read()
-    try:
-        raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        lineno = len((raw[: exc.start] + b"x").splitlines())
-        return ValueError(f"{path}:{lineno}: not UTF-8 text: {exc}")
-    return ValueError(f"{path}: not UTF-8 text")
+        while True:
+            chunk = fh.read(_DECODE_CHUNK)
+            try:
+                decoder.decode(chunk, final=not chunk)
+            except UnicodeDecodeError as exc:
+                # exc.object is the decoder's carried partial sequence
+                # (never a newline) followed by this chunk.
+                start = offset - (len(exc.object) - len(chunk)) + exc.start
+                lineno += exc.object.count(b"\n", 0, exc.start)
+                bad = exc.object[exc.start : exc.end]
+                what = (
+                    f"byte 0x{bad[0]:02x} in position {start}"
+                    if len(bad) == 1
+                    else f"bytes in position {start}-{start + len(bad) - 1}"
+                )
+                return ValueError(
+                    f"{path}:{lineno}: not UTF-8 text: 'utf-8' codec can't "
+                    f"decode {what}: {exc.reason}"
+                )
+            if not chunk:
+                return ValueError(f"{path}: not UTF-8 text")
+            offset += len(chunk)
+            lineno += chunk.count(b"\n")
 
 
 def save_tns(

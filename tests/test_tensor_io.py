@@ -597,3 +597,53 @@ class TestCorruptInput:
             f"{path}:{bad_line}: not UTF-8 text: 'utf-8' codec can't decode "
             f"byte 0xff in position {position}: invalid start byte"
         )
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 5, 64])
+    @pytest.mark.parametrize("data", [
+        "1 1 1 1.0\n2 2 2 \udcff\n",
+        "1 1 é€ 1.0\n2 2 2 \udcff\n",
+        "€€\n€\n1 1 1 1.0\udce2\udc82\n",
+        "1 1 1 1.0\n€ 2 \udce2\udc82\n",
+        "\n\né\udcc3",
+    ], ids=["ascii", "multibyte-before", "truncated-seq", "bad-continuation",
+            "truncated-at-eof"])
+    def test_undecodable_chunked_scan_matches_whole_decode(self, tmp_path,
+                                                           monkeypatch, chunk, data):
+        """The bad byte is located chunk by chunk, and reported exactly as
+        a decode of the whole file would, wherever the chunks split."""
+        from repro.tensor import io
+
+        raw = data.encode("utf-8", "surrogateescape")
+        with pytest.raises(UnicodeDecodeError) as whole:
+            raw.decode("utf-8")
+        lineno = raw.count(b"\n", 0, whole.value.start) + 1
+        path = tmp_path / "bad.tns"
+        path.write_bytes(raw)
+        monkeypatch.setattr(io, "_DECODE_CHUNK", chunk)
+        assert str(io._undecodable(path)) == (
+            f"{path}:{lineno}: not UTF-8 text: {whole.value}"
+        )
+
+
+def test_truncating_loadtxt_falls_back_to_line_loop(tmp_path, monkeypatch):
+    """Where numpy only warns that it truncates a float-formatted field
+    into an integer column, the warning sends the file to the line loop,
+    which rejects the coordinate instead of truncating it."""
+    import warnings
+
+    from repro.tensor import io
+
+    real_loadtxt = np.loadtxt
+
+    def warning_loadtxt(*args, **kwargs):
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                      DeprecationWarning, stacklevel=2)
+        return real_loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", warning_loadtxt)
+    path = tmp_path / "float-coord.tns"
+    path.write_text("1 2 3 1.5\n")
+    assert io._load_tns_whole(path, None, True) is None
+    path.write_text("2.7 2 3 1.5\n")
+    with pytest.raises(ValueError, match=r"float-coord\.tns:1: bad numeric field"):
+        load_tns(path)
